@@ -274,10 +274,7 @@ impl RunLedger {
 
     /// Mean occupancy over recorded rounds; [`f64::NAN`] when empty.
     pub fn mean_occupancy(&self) -> f64 {
-        if self.rounds.is_empty() {
-            return f64::NAN;
-        }
-        self.rounds.iter().map(|r| r.occupancy).sum::<f64>() / self.rounds.len() as f64
+        sqdm_tensor::stats::bounded_mean(self.rounds.iter().map(|r| r.occupancy))
     }
 
     /// Peak occupancy over recorded rounds; `0.0` when empty.
@@ -794,5 +791,24 @@ mod tests {
             ledger.peak_occupancy(),
             ledger.rounds.iter().map(|r| r.occupancy).fold(0.0, f64::max)
         );
+    }
+
+    #[test]
+    fn run_ledger_mean_of_identical_rounds_never_exceeds_the_peak() {
+        let v = 0.4987012987012987;
+        let round = RoundStats {
+            batch: 1,
+            cycles: 1,
+            energy_pj: 1.0,
+            occupancy: v,
+            freq_scale: 1.0,
+        };
+        for n in 1..=64 {
+            let ledger = RunLedger {
+                rounds: vec![round; n],
+            };
+            assert_eq!(ledger.mean_occupancy(), v, "{n} rounds");
+            assert!(ledger.mean_occupancy() <= ledger.peak_occupancy());
+        }
     }
 }

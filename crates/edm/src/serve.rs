@@ -75,6 +75,7 @@ use serde::{Deserialize, Serialize};
 use sqdm_nn::PackCache;
 use sqdm_quant::PrecisionAssignment;
 use sqdm_sparsity::{channel_sparsity, ChangeMask, TemporalTrace};
+use sqdm_tensor::stats::bounded_mean;
 use sqdm_tensor::{arena, Rng, Tensor};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -1488,22 +1489,22 @@ impl ServeStats {
 
     /// Mean end-to-end latency in virtual steps (`NaN` for an empty run).
     pub fn mean_latency(&self) -> f64 {
-        mean(self.requests.iter().map(|r| r.latency as f64))
+        bounded_mean(self.requests.iter().map(|r| r.latency as f64))
     }
 
     /// Mean queueing delay in virtual steps (`NaN` for an empty run).
     pub fn mean_queue_delay(&self) -> f64 {
-        mean(self.requests.iter().map(|r| r.queue_delay as f64))
+        bounded_mean(self.requests.iter().map(|r| r.queue_delay as f64))
     }
 
     /// Mean in-flight batch size over executed rounds (`NaN` if none ran).
     pub fn mean_batch_occupancy(&self) -> f64 {
-        mean(self.batch_occupancy.iter().map(|&o| o as f64))
+        bounded_mean(self.batch_occupancy.iter().map(|&o| o as f64))
     }
 
     /// Mean wall-clock nanoseconds per round (`NaN` if none ran).
     pub fn mean_step_latency_ns(&self) -> f64 {
-        mean(self.step_latency_ns.iter().map(|&n| n as f64))
+        bounded_mean(self.step_latency_ns.iter().map(|&n| n as f64))
     }
 
     /// Largest pending-queue depth over executed rounds (0 if none ran).
@@ -1513,7 +1514,7 @@ impl ServeStats {
 
     /// Mean pending-queue depth over executed rounds (`NaN` if none ran).
     pub fn mean_queue_depth(&self) -> f64 {
-        mean(self.queue_depth.iter().map(|&d| d as f64))
+        bounded_mean(self.queue_depth.iter().map(|&d| d as f64))
     }
 
     /// Completed requests per virtual step (`NaN` for an empty run) — the
@@ -1574,7 +1575,7 @@ impl ServeStats {
     /// Mean simulated PE occupancy over executed rounds (`NaN` if none
     /// ran).
     pub fn mean_occupancy(&self) -> f64 {
-        mean(self.round_occupancy.iter().copied())
+        bounded_mean(self.round_occupancy.iter().copied())
     }
 
     /// Peak simulated PE occupancy over executed rounds (0.0 if none
@@ -1595,8 +1596,8 @@ impl ServeStats {
                 tenant,
                 requests: rs.len(),
                 total_steps: rs.iter().map(|r| r.steps_in_batch).sum(),
-                mean_latency: mean(rs.iter().map(|r| r.latency as f64)),
-                mean_queue_delay: mean(rs.iter().map(|r| r.queue_delay as f64)),
+                mean_latency: bounded_mean(rs.iter().map(|r| r.latency as f64)),
+                mean_queue_delay: bounded_mean(rs.iter().map(|r| r.queue_delay as f64)),
             })
             .collect()
     }
@@ -1623,21 +1624,6 @@ pub struct TenantRollup {
     pub mean_latency: f64,
     /// Mean queueing delay of the tenant's requests, virtual steps.
     pub mean_queue_delay: f64,
-}
-
-/// Mean of an iterator, `NaN` when empty (mirrors the empty-run sentinel
-/// convention of `sqdm_accel`'s `RunStats` ratios).
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let (mut sum, mut n) = (0.0, 0usize);
-    for v in values {
-        sum += v;
-        n += 1;
-    }
-    if n == 0 {
-        f64::NAN
-    } else {
-        sum / n as f64
-    }
 }
 
 /// Continuous-batching front-end over [`BatchSampler`].
@@ -2869,5 +2855,21 @@ mod tests {
             .all(|&o| o > 0.0 && o <= 1.0));
         assert!(stats.energy_per_image_pj() > 0.0);
         assert!(stats.peak_occupancy() >= stats.mean_occupancy());
+    }
+
+    #[test]
+    fn mean_occupancy_of_identical_rounds_never_exceeds_the_peak() {
+        // Seven or more rounds of this value summed and divided naively
+        // land one ulp above it.
+        let v = 0.4987012987012987;
+        for n in 1..=64 {
+            let stats = ServeStats {
+                rounds: n,
+                round_occupancy: vec![v; n],
+                ..ServeStats::default()
+            };
+            assert_eq!(stats.mean_occupancy(), v, "{n} rounds");
+            assert!(stats.mean_occupancy() <= stats.peak_occupancy());
+        }
     }
 }

@@ -7,7 +7,9 @@
 //! in both execution modes, at any `SQDM_THREADS`. These property tests
 //! pin that contract over random request mixes and thread counts
 //! `{1, 2, 7}`, plus `forward_batch` directly against per-sample
-//! `forward` calls.
+//! `forward` calls. The multi-thread runs use a one-unit grain
+//! (`with_grain`) so the micro U-Net's small kernels split, and check by
+//! counting regions that they did.
 
 use proptest::prelude::*;
 use sqdm_edm::serve::{
@@ -19,11 +21,28 @@ use sqdm_edm::{
     RegistryScheduler, RunConfig, SamplerConfig, UNet, UNetConfig,
 };
 use sqdm_quant::{BlockPrecision, ExecMode, PrecisionAssignment, QuantFormat};
-use sqdm_tensor::parallel::with_threads;
+use sqdm_tensor::parallel::{regions_opened, with_grain, with_threads};
 use sqdm_tensor::{Rng, Tensor};
 
 /// Serial reference plus even and lopsided pool partitions.
 const THREADS: [usize; 3] = [1, 2, 7];
+
+/// Runs `f` on `threads` threads with every region of two or more chunks
+/// split, asserting that a multi-thread run opened at least one
+/// multi-task region.
+fn on_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    with_grain(1, || {
+        with_threads(threads, || {
+            let before = regions_opened();
+            let r = f();
+            assert!(
+                threads == 1 || regions_opened() > before,
+                "{threads} threads: no region split"
+            );
+            r
+        })
+    })
+}
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -55,7 +74,7 @@ proptest! {
         for mode in [ExecMode::FakeQuant, ExecMode::NativeInt] {
             let asg = int8_assignment(mode);
             for t in THREADS {
-                let batched = with_threads(t, || {
+                let batched = on_pool(t, || {
                     let mut rc = RunConfig {
                         train: false,
                         assignment: Some(&asg),
@@ -72,7 +91,7 @@ proptest! {
                         [1, 1, 8, 8],
                     )
                     .unwrap();
-                    let single = with_threads(t, || {
+                    let single = on_pool(t, || {
                         let mut rc = RunConfig {
                             train: false,
                             assignment: Some(&asg),
@@ -120,11 +139,11 @@ proptest! {
         for mode in [ExecMode::FakeQuant, ExecMode::NativeInt] {
             let asg = int8_assignment(mode);
             for t in THREADS {
-                let served = with_threads(t, || {
+                let served = on_pool(t, || {
                     serve_batch(&mut net, &den, &requests, Some(&asg)).unwrap()
                 });
                 for (req, out) in requests.iter().zip(&served) {
-                    let single = with_threads(t, || {
+                    let single = on_pool(t, || {
                         let mut r = Rng::seed_from(req.seed);
                         sample(
                             &mut net,
@@ -181,12 +200,12 @@ proptest! {
             let asg = int8_assignment(mode);
             for t in THREADS {
                 let sched = Scheduler::new(den, max_batch);
-                let (served, stats) = with_threads(t, || {
+                let (served, stats) = on_pool(t, || {
                     sched.run(&mut net, &requests, Some(&asg)).unwrap()
                 });
                 for (req, out) in requests.iter().zip(&served) {
                     prop_assert_eq!(req.request.id, out.id);
-                    let single = with_threads(t, || {
+                    let single = on_pool(t, || {
                         let mut r = Rng::seed_from(req.request.seed);
                         sample(
                             &mut net,
@@ -276,12 +295,12 @@ proptest! {
             let mut solo_b = UNet::new(UNetConfig::micro(), &mut rng).unwrap();
             let mut reference_stats: Option<Vec<_>> = None;
             for t in THREADS {
-                let (served, stats) = with_threads(t, || {
+                let (served, stats) = on_pool(t, || {
                     sched.run(&mut registry, &requests).unwrap()
                 });
                 for (req, out) in requests.iter().zip(&served) {
                     prop_assert_eq!(req.scheduled.request.id, out.id);
-                    let single = with_threads(t, || {
+                    let single = on_pool(t, || {
                         let mut r = Rng::seed_from(req.scheduled.request.seed);
                         let (net, asg) = if req.model == 0 {
                             (&mut solo_a, Some(&asg))
@@ -427,7 +446,7 @@ proptest! {
                     (r.request.id, bits(&img))
                 }).collect();
                 for t in THREADS {
-                    let (served, stats) = with_threads(t, || {
+                    let (served, stats) = on_pool(t, || {
                         sched.run(&mut net, requests, Some(&asg)).unwrap()
                     });
                     for out in &served {
@@ -541,7 +560,7 @@ proptest! {
                     (r.request.id, bits(&img))
                 }).collect();
                 for t in THREADS {
-                    let (served, stats) = with_threads(t, || {
+                    let (served, stats) = on_pool(t, || {
                         sched.run(&mut net, &requests, Some(&asg)).unwrap()
                     });
                     prop_assert_eq!(served.len(), requests.len());
@@ -624,7 +643,7 @@ fn full_precision_serving_is_bitwise_transparent_across_threads() {
             .collect::<Vec<_>>()
     });
     for t in THREADS {
-        let served = with_threads(t, || serve_batch(&mut net, &den, &requests, None).unwrap());
+        let served = on_pool(t, || serve_batch(&mut net, &den, &requests, None).unwrap());
         for (single, out) in reference.iter().zip(&served) {
             assert_eq!(bits(single), bits(&out.image), "{t} threads");
         }

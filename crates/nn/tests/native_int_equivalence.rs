@@ -12,18 +12,32 @@
 //! match **bitwise**.
 //!
 //! Each property also pins the worker-pool contract: the native engine is
-//! bitwise identical across `SQDM_THREADS ∈ {1, 2, 7}`.
+//! bitwise identical across `SQDM_THREADS ∈ {1, 2, 7}`. The multi-thread
+//! runs use a one-unit grain (`with_grain`) so these small layers split,
+//! and check by counting regions that they did.
 
 use proptest::prelude::*;
 use sqdm_nn::layers::{Conv2d, Linear};
 use sqdm_nn::QuantExecutor;
 use sqdm_quant::{BlockPrecision, ExecMode, Granularity, IntGrid, QuantFormat, ScaleEncoding};
 use sqdm_tensor::ops::{conv2d, matmul_a_bt, Conv2dGeometry};
-use sqdm_tensor::parallel::with_threads;
+use sqdm_tensor::parallel::{regions_opened, with_grain, with_threads};
 use sqdm_tensor::{Rng, Tensor};
 
 /// Thread counts the determinism contract is checked against.
 const THREADS: [usize; 3] = [1, 2, 7];
+
+/// Runs `f` on `threads` threads with every region of two or more chunks
+/// split, returning its result and the multi-task regions it opened.
+fn split<R>(threads: usize, f: impl FnOnce() -> R) -> (R, u64) {
+    with_grain(1, || {
+        with_threads(threads, || {
+            let before = regions_opened();
+            let r = f();
+            (r, regions_opened() - before)
+        })
+    })
+}
 
 /// Per-channel INT8 with power-of-two scales: the exact-arithmetic case.
 fn int8_pow2() -> QuantFormat {
@@ -96,7 +110,8 @@ proptest! {
 
             // Bitwise determinism at every thread count.
             for t in THREADS {
-                let par = with_threads(t, || nexec.linear_forward(&lin, &x).unwrap());
+                let (par, regions) = split(t, || nexec.linear_forward(&lin, &x).unwrap());
+                assert!(t == 1 || regions > 0, "{t} threads: linear never split");
                 assert_bitwise(&native, &par, fmt.name);
             }
         }
@@ -139,7 +154,8 @@ proptest! {
             assert_close(&native, &fake, &amax, k_red, fmt.name);
 
             for t in THREADS {
-                let par = with_threads(t, || nexec.conv_forward(&conv, &x).unwrap());
+                let (par, regions) = split(t, || nexec.conv_forward(&conv, &x).unwrap());
+                assert!(t == 1 || regions > 0, "{t} threads: conv never split");
                 assert_bitwise(&native, &par, fmt.name);
             }
         }
@@ -176,7 +192,8 @@ proptest! {
         assert_bitwise(&native, &fake, "INT8-POW2 attention");
 
         for t in THREADS {
-            let par = with_threads(t, || nexec.attention_forward(&attn, &x).unwrap());
+            let (par, regions) = split(t, || nexec.attention_forward(&attn, &x).unwrap());
+            assert!(t == 1 || regions > 0, "{t} threads: attention never split");
             assert_bitwise(&native, &par, "attention thread determinism");
         }
     }

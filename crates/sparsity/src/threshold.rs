@@ -164,7 +164,15 @@ mod tests {
         let ths: Vec<f64> = (1..=9).map(|i| i as f64 / 10.0).collect();
         let serial = parallel::with_threads(1, || threshold_sweep(&tr, &ths));
         for t in [2, 7] {
-            let par = parallel::with_threads(t, || threshold_sweep(&tr, &ths));
+            // A one-unit grain makes this small sweep split across the pool.
+            let (par, regions) = parallel::with_grain(1, || {
+                parallel::with_threads(t, || {
+                    let before = parallel::regions_opened();
+                    let par = threshold_sweep(&tr, &ths);
+                    (par, parallel::regions_opened() - before)
+                })
+            });
+            assert!(regions > 0, "thread count {t}: the sweep ran inline");
             assert_eq!(serial, par, "thread count {t}");
         }
     }

@@ -9,11 +9,6 @@ use crate::parallel;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-/// Approximate work units per element for the activation sweeps: SiLU
-/// costs an `exp` plus a division, so give the pool's grain heuristic a
-/// realistic per-element cost rather than a single flop.
-const ACT_WORK_PER_ELEM: usize = 16;
-
 /// The activation functions used by the EDM U-Net blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Activation {
@@ -61,7 +56,7 @@ impl Activation {
     /// order-preserving, so results are identical at any thread count).
     pub fn forward(self, x: &Tensor) -> Tensor {
         let mut out = x.clone();
-        parallel::par_map_inplace(out.as_mut_slice(), ACT_WORK_PER_ELEM, move |v| {
+        parallel::par_map_inplace(out.as_mut_slice(), self.work_per_elem(), move |v| {
             self.apply(v)
         });
         out
@@ -82,10 +77,19 @@ impl Activation {
         parallel::par_zip_inplace(
             out.as_mut_slice(),
             x.as_slice(),
-            ACT_WORK_PER_ELEM,
+            self.work_per_elem(),
             |g, v| g * self.derivative(v),
         );
         Ok(out)
+    }
+
+    /// Worker-pool work units per element of a forward or backward sweep:
+    /// SiLU evaluates an `exp`, the others only move the element.
+    fn work_per_elem(self) -> usize {
+        match self {
+            Activation::Silu => parallel::EXP_WORK,
+            Activation::Identity | Activation::Relu => parallel::MOVE_WORK,
+        }
     }
 
     /// Global minimum of the activation's output range.

@@ -6,7 +6,9 @@
 //!
 //! * **Task work estimate.** [`gemm_task_work`] is the flop estimate the
 //!   worker pool uses to decide how many tasks a GEMM is worth; both cores
-//!   feed it to [`crate::parallel::par_chunks_mut`].
+//!   feed it to [`crate::parallel::par_chunks_mut`]. Its flop is the
+//!   pool's work unit, which the memory-bound passes match through
+//!   [`crate::parallel::MOVE_WORK`].
 //! * **Row panels.** [`PANEL_ROWS`] output rows form one panel — the unit
 //!   the packed integer kernel partitions over the pool, chosen so a
 //!   panel's weight rows plus one L1 column tile stay cache-resident.
@@ -42,9 +44,10 @@ pub const PANEL_ROWS: usize = 4;
 /// stripe, and incidental traffic.
 const L1_TILE_BYTES: usize = 16 * 1024;
 
-/// Approximate work units (fused multiply-adds) one `[k] × [k, n]` output
-/// row costs — the per-chunk work estimate both GEMM cores hand to the
-/// worker pool.
+/// Work units one `[k] × [k, n]` output row costs: its flop count, a
+/// multiply-accumulate counting two. This defines the worker pool's work
+/// unit (see [`crate::parallel::GRAIN`]); both GEMM cores hand it to the
+/// pool as their per-chunk estimate.
 pub fn gemm_task_work(k: usize, n: usize) -> usize {
     2 * k.max(1) * n.max(1)
 }

@@ -87,7 +87,7 @@ pub fn im2col(input: &Tensor, kh: usize, kw: usize, geom: Conv2dGeometry) -> Res
     let iv = input.as_slice();
     let mut out = vec![0.0f32; rows * cols];
     if rows > 0 && cols > 0 {
-        parallel::par_chunks_mut(&mut out, cols, 2 * cols, |row, o_row| {
+        parallel::par_chunks_mut(&mut out, cols, parallel::MOVE_WORK * cols, |row, o_row| {
             let cc = row / (kh * kw);
             let ky = (row / kw) % kh;
             let kx = row % kw;
@@ -151,7 +151,8 @@ pub fn col2im(
     // and within a plane the (oy, ox, ky, kx) accumulation order matches
     // the serial loop — bitwise identical at any thread count.
     if n * c > 0 && h * w > 0 {
-        parallel::par_chunks_mut(&mut out, h * w, 2 * oh * ow * kh * kw, |plane, o_plane| {
+        let plane_work = parallel::MOVE_WORK * oh * ow * kh * kw;
+        parallel::par_chunks_mut(&mut out, h * w, plane_work, |plane, o_plane| {
             let nn = plane / c;
             let cc = plane % c;
             for oy in 0..oh {
@@ -241,7 +242,8 @@ pub fn conv2d(
     let mut out = vec![0.0f32; n * k * oh * ow];
     let spatial = oh * ow;
     if n * k > 0 && spatial > 0 {
-        parallel::par_chunks_mut(&mut out, spatial, 2 * spatial, |plane, dst| {
+        let plane_work = parallel::MOVE_WORK * spatial;
+        parallel::par_chunks_mut(&mut out, spatial, plane_work, |plane, dst| {
             let nn = plane / k;
             let kk = plane % k;
             let b = bias.map(|b| b.as_slice()[kk]).unwrap_or(0.0);

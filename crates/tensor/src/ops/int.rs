@@ -335,7 +335,7 @@ fn pack_weight_codes(w: &QuantizedMatrix, starts: &[usize], pk: usize) -> Vec<i1
         return packed;
     }
     let k = w.cols;
-    parallel::par_chunks_mut(&mut packed, pk, blocking::gemm_task_work(k, 1), |i, row| {
+    parallel::par_chunks_mut(&mut packed, pk, parallel::MOVE_WORK * pk, |i, row| {
         let src = &w.codes[i * k..(i + 1) * k];
         for (b, win) in starts.windows(2).enumerate() {
             let k0 = b * w.block_len;
@@ -365,7 +365,7 @@ fn pack_xt(
     if xt.is_empty() {
         return xt;
     }
-    parallel::par_chunks_mut(&mut xt, pk, blocking::gemm_task_work(k, 1), |j, row| {
+    parallel::par_chunks_mut(&mut xt, pk, parallel::MOVE_WORK * pk, |j, row| {
         let zp = xqs[j / stripe].zero_point as i16;
         for (b, win) in starts.windows(2).enumerate() {
             let k0 = b * block_len;
@@ -399,7 +399,7 @@ fn pack_delta_xt(
     if dt.is_empty() {
         return dt;
     }
-    parallel::par_chunks_mut(&mut dt, pk, blocking::gemm_task_work(k, 1), |j, row| {
+    parallel::par_chunks_mut(&mut dt, pk, parallel::MOVE_WORK * pk, |j, row| {
         let mask = &changed[(j / stripe) * k..(j / stripe + 1) * k];
         for (b, win) in starts.windows(2).enumerate() {
             let k0 = b * block_len;
@@ -1194,7 +1194,7 @@ fn qgemm_delta_sparse_run(
     // cancel); unchanged rows stay zero and are never read. Each stream
     // widens only its own changed rows.
     let mut di = arena::take_zeroed::<i32>(x_curr.len());
-    parallel::par_chunks_mut(&mut di, n, 2 * n, |row, block| {
+    parallel::par_chunks_mut(&mut di, n, parallel::MOVE_WORK * n, |row, block| {
         for s in 0..xqs.len() {
             if !changed[s * k + row] {
                 continue;
@@ -1262,7 +1262,7 @@ pub fn transpose_i8(src: &[i8], rows: usize, cols: usize) -> Result<Vec<i8>> {
     if rows == 0 || cols == 0 {
         return Ok(out);
     }
-    parallel::par_chunks_mut(&mut out, rows, 2 * rows, |j, o_row| {
+    parallel::par_chunks_mut(&mut out, rows, parallel::MOVE_WORK * rows, |j, o_row| {
         for (i, o) in o_row.iter_mut().enumerate() {
             *o = src[i * cols + j];
         }
@@ -1337,7 +1337,7 @@ pub fn im2col_i8_multi(
     let cols = n * oh * ow;
     let mut out = arena::take_zeroed::<i8>(rows * cols);
     if rows > 0 && cols > 0 {
-        parallel::par_chunks_mut(&mut out, cols, 2 * cols, |row, o_row| {
+        parallel::par_chunks_mut(&mut out, cols, parallel::MOVE_WORK * cols, |row, o_row| {
             let cc = row / (kh * kw);
             let ky = (row / kw) % kh;
             let kx = row % kw;
@@ -1760,7 +1760,7 @@ fn conv2d_i8_core(
     arena::recycle(cols);
 
     if n * k > 0 && spatial > 0 {
-        parallel::par_chunks_mut(out, spatial, 2 * spatial, |plane, dst| {
+        parallel::par_chunks_mut(out, spatial, parallel::MOVE_WORK * spatial, |plane, dst| {
             let nn = plane / k;
             let kk = plane % k;
             let b = bias.map(|b| b[kk]).unwrap_or(0.0);

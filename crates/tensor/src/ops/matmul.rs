@@ -59,7 +59,7 @@ fn pack_transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     if rows == 0 || cols == 0 {
         return out;
     }
-    parallel::par_chunks_mut(&mut out, rows, 2 * rows, |j, o_row| {
+    parallel::par_chunks_mut(&mut out, rows, parallel::MOVE_WORK * rows, |j, o_row| {
         for (i, o) in o_row.iter_mut().enumerate() {
             *o = src[i * cols + j];
         }

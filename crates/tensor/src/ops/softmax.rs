@@ -48,7 +48,7 @@ pub fn softmax_rows(x: &Tensor) -> Result<Tensor> {
     }
     let xv = x.as_slice();
     let mut out = arena::take_zeroed::<f32>(m * n);
-    parallel::par_chunks_mut(&mut out, n, 8 * n, |i, orow| {
+    parallel::par_chunks_mut(&mut out, n, parallel::EXP_WORK * n, |i, orow| {
         let row = &xv[i * n..(i + 1) * n];
         let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
         let mut sum = 0.0f32;
@@ -91,7 +91,7 @@ pub fn softmax_rows_backward(y: &Tensor, grad_out: &Tensor) -> Result<Tensor> {
     let gv = grad_out.as_slice();
     let mut out = arena::take_zeroed::<f32>(m * n);
     if n > 0 {
-        parallel::par_chunks_mut(&mut out, n, 4 * n, |i, orow| {
+        parallel::par_chunks_mut(&mut out, n, parallel::MOVE_WORK * n, |i, orow| {
             let yrow = &yv[i * n..(i + 1) * n];
             let grow = &gv[i * n..(i + 1) * n];
             let dot: f32 = yrow.iter().zip(grow.iter()).map(|(a, b)| a * b).sum();

@@ -13,7 +13,8 @@
 //! * **Bitwise determinism.** Work is always partitioned into contiguous
 //!   blocks so that every output element is produced by exactly one task
 //!   running the exact serial code, in the exact serial order. Results are
-//!   therefore bitwise identical for *every* thread count, including 1.
+//!   therefore bitwise identical for *every* thread count, including 1,
+//!   and whether or not a region splits at all.
 //! * **Nested calls run serially.** A kernel invoked from inside a pool
 //!   task sees [`current_threads`]` == 1` and runs inline, so the pool
 //!   never deadlocks on itself and the partitioning stays flat.
@@ -22,9 +23,27 @@
 //!   sibling tasks have finished (which is also what makes the lifetime
 //!   erasure below sound).
 //!
-//! Small workloads bypass the pool entirely: dispatching a task costs a
-//! queue lock plus a condvar wake, so regions are only split when each
-//! task gets at least `MIN_WORK_PER_TASK` work units (roughly flops).
+//! # Granularity
+//!
+//! Handing a task to the pool costs a queue lock, a condvar wake and a
+//! latch round trip: an empty two-task region takes about 15 µs on a
+//! 2-vCPU Xeon VM against a few ns inline (`dispatch_*` groups of the
+//! `kernels_parallel` bench). A region therefore splits only when each
+//! task gets at least [`GRAIN`] work units, so kernels worth well under
+//! a millisecond run inline on the calling thread.
+//!
+//! Every call site states its per-chunk work in one unit: one flop of a
+//! GEMM inner loop, a multiply-accumulate counting two
+//! (`ops::blocking::gemm_task_work`). On that VM a unit costs 0.03–0.065
+//! ns of one thread in the packed int8 GEMM and about 0.07 ns in the f32
+//! GEMM. Passes that move memory convert their element counts instead:
+//! [`MOVE_WORK`] units per element gathered, widened or copied,
+//! [`EXP_WORK`] per element that evaluates an `exp`. With these estimates
+//! an int8 denoiser evaluation of the `default` or `micro` U-Net opens no
+//! region at batch 1 (81 and 52 under the former 4096-unit grain), while
+//! batch-4 `default` serving still splits its GEMM panels and operand
+//! passes, and the 256³ bench GEMMs and training shapes split as before.
+//! [`regions_opened`] counts the regions a thread actually opened.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -35,9 +54,55 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// A queued unit of pool work whose borrows have been erased to `'static`.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Work units (roughly fused multiply-adds) below which splitting off an
-/// extra task costs more in dispatch latency than it recovers in compute.
-const MIN_WORK_PER_TASK: usize = 4096;
+/// Work units each task of a parallel region must carry before the
+/// region splits: a region of `w` units runs as at most `w / GRAIN`
+/// tasks, inline when that is below 2.
+///
+/// At 0.03–0.07 ns per unit (see the module docs) a task of `GRAIN`
+/// units runs for 30–70 µs, two to four times the 15 µs an empty
+/// two-task region costs. The `dispatch_conv_i8_*` bench groups show
+/// both sides on one 12→12 3×3 int8 conv of `default` at 16×16: at
+/// batch 1 it takes 93 µs inline and 128 µs split under the former
+/// grain; at batch 4 it takes 490 µs inline and 304 µs split at 2^20.
+/// Measured with the repository benchmark
+/// (`perfbench`, 2-vCPU Xeon VM, 20 s runs, median of seeds 1 and 2;
+/// CPU figures are its calibrated CPU ms) against the former 4096-unit
+/// grain:
+///
+/// | grain       | `http_short` CPU/request | batched drain CPU/image | drain wall/image |
+/// |-------------|--------------------------|-------------------------|------------------|
+/// | 2^12 before | 9.33 ms                  | 269 ms                  | 236 ms           |
+/// | 2^18        | 5.04 ms                  | 254 ms                  | 220 ms           |
+/// | 2^20        | 5.23 ms                  | 241 ms                  | 227 ms           |
+/// | 2^22        | 5.06 ms                  | 192 ms                  | 203 ms           |
+///
+/// From 2^18 up no batch-1 `micro` kernel splits, which is where
+/// `http_short` gains 45 %: its daemon mostly serves one request per
+/// round. Per evaluation, 2^18 still opens 34 regions at batch-1
+/// `default` and 18 at batch-4 `micro`; 2^20 opens none at batch 1 and
+/// 33 at batch-4 `default` (GEMM panels and operand passes); 2^22 opens
+/// none. Single drain runs spread by up to 70 ms, so the drain
+/// columns do not separate the grains. In 12 interleaved pairs of
+/// batch-4 `default` evaluations on the same VM, 2^20 matched the former
+/// grain's wall-clock time (ratio 0.99) at 0.91 of its CPU, and 2^22
+/// was 3 % faster still at 0.74 of its CPU: two vCPUs gain nothing from
+/// splitting these kernels. 2^20 keeps batched serving parallel on hosts
+/// with more cores; revisit it when one is measured. Splitting never
+/// changes bits, so the grain is purely a performance decision;
+/// [`with_grain`] overrides it for testing.
+pub const GRAIN: usize = 1 << 20;
+
+/// Work units per element for passes that gather, widen or copy one
+/// element per step (`im2col`, operand packing, transposes, epilogues).
+/// Measured on the VM of the module docs: 0.8–1.3 ns per element for
+/// the int8 GEMM's activation pack and 1.4–2.3 ns for `im2col_i8`, that
+/// is 12–45 GEMM units.
+pub const MOVE_WORK: usize = 32;
+
+/// Work units per element for passes that evaluate an `exp` (SiLU,
+/// softmax): SiLU measured at about 7 ns per element, 110–230 GEMM
+/// units.
+pub const EXP_WORK: usize = 128;
 
 struct PoolShared {
     queue: Mutex<VecDeque<Job>>,
@@ -61,6 +126,10 @@ thread_local! {
     /// region (as a pool worker, or as the caller running its own share);
     /// kernels re-entered in that state run serially.
     static IN_PARALLEL: Cell<bool> = const { Cell::new(false) };
+    /// Scoped grain override installed by [`with_grain`].
+    static GRAIN_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Multi-task regions this thread has opened; see [`regions_opened`].
+    static REGIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn pool() -> &'static Pool {
@@ -166,6 +235,46 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Runs `f` with [`GRAIN`] replaced by `grain` on this thread, restoring
+/// the previous setting afterwards (including on panic).
+///
+/// Testing aid in the spirit of `ops::int::force_generic_kernels`: the
+/// thread-count equivalence suites use a tiny grain so that their small
+/// shapes still split across the pool. Results never depend on it.
+///
+/// # Panics
+///
+/// Panics if `grain` is zero.
+#[doc(hidden)]
+pub fn with_grain<R>(grain: usize, f: impl FnOnce() -> R) -> R {
+    assert!(grain >= 1, "with_grain requires a positive grain");
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            GRAIN_OVERRIDE.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(GRAIN_OVERRIDE.with(|c| c.replace(Some(grain))));
+    f()
+}
+
+/// Number of multi-task parallel regions the calling thread has opened
+/// so far: a monotonic per-thread counter, read before and after a call
+/// to see whether the call reached the pool. Regions that ran inline
+/// (one task) do not count.
+///
+/// # Examples
+///
+/// ```
+/// use sqdm_tensor::parallel::{par_map_indexed, regions_opened, with_threads};
+/// let before = regions_opened();
+/// with_threads(2, || par_map_indexed(2, 1, |i| i));
+/// assert_eq!(regions_opened(), before, "two units of work run inline");
+/// ```
+pub fn regions_opened() -> u64 {
+    REGIONS.with(Cell::get)
+}
+
 /// Countdown latch used by [`run_tasks`] to wait for offloaded jobs,
 /// carrying the first panic payload observed on a worker.
 struct Latch {
@@ -216,6 +325,7 @@ fn run_tasks(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
         own();
         return;
     }
+    REGIONS.with(|c| c.set(c.get() + 1));
     let pool = pool();
     pool.ensure_workers(tasks.len());
     let latch = Latch::new(tasks.len());
@@ -258,16 +368,17 @@ fn task_count(items: usize, work_per_item: usize) -> usize {
     if threads <= 1 || items <= 1 {
         return 1;
     }
+    let grain = GRAIN_OVERRIDE.with(Cell::get).unwrap_or(GRAIN);
     let total = items.saturating_mul(work_per_item.max(1));
-    threads.min(items).min((total / MIN_WORK_PER_TASK).max(1))
+    threads.min(items).min((total / grain).max(1))
 }
 
 /// Splits `data` into consecutive chunks of `chunk_len` elements (the
 /// last may be shorter) and calls `f(chunk_index, chunk)` for each,
 /// distributing contiguous *blocks of chunks* over the pool.
 ///
-/// `chunk_work` is the approximate work units (roughly flops) one chunk
-/// costs; regions too small to amortize a dispatch run inline. Chunk
+/// `chunk_work` is the approximate work units one chunk costs (see the
+/// module docs for the unit); regions below two [`GRAIN`]s run inline. Chunk
 /// indices are global and ascending within each task, so any computation
 /// whose serial form iterates chunks in order is reproduced bitwise.
 ///
@@ -442,6 +553,39 @@ mod tests {
     }
 
     #[test]
+    fn with_grain_overrides_and_restores_on_panic() {
+        let small = || with_threads(2, || par_map_indexed(2, 1, |i| i));
+        let before = regions_opened();
+        small();
+        assert_eq!(
+            regions_opened(),
+            before,
+            "two units split at the real grain"
+        );
+        with_grain(1, small);
+        assert_eq!(
+            regions_opened(),
+            before + 1,
+            "a one-unit grain did not split"
+        );
+        let caught = catch_unwind(|| with_grain(1, || panic!("boom")));
+        assert!(caught.is_err());
+        small();
+        assert_eq!(regions_opened(), before + 1, "grain override leaked");
+    }
+
+    #[test]
+    fn regions_count_only_multi_task_regions() {
+        let before = regions_opened();
+        with_threads(1, || par_map_indexed(8, GRAIN, |i| i));
+        assert_eq!(regions_opened(), before, "a serial scope opened a region");
+        with_threads(2, || par_map_indexed(8, GRAIN, |i| i));
+        assert_eq!(regions_opened(), before + 1);
+        with_threads(2, || par_join(|| 1, || 2));
+        assert_eq!(regions_opened(), before + 2);
+    }
+
+    #[test]
     fn par_chunks_mut_covers_every_chunk_once() {
         // 103 elements in chunks of 10 -> 11 chunks, the last of length 3.
         let mut data = vec![0usize; 103];
@@ -501,13 +645,15 @@ mod tests {
     fn elementwise_helpers_match_serial() {
         let src: Vec<f32> = (0..1000).map(|i| i as f32 * 0.25).collect();
         let mut par = src.clone();
-        with_threads(3, || par_map_inplace(&mut par, 4, |v| v * 2.0 + 1.0));
+        with_grain(1, || {
+            with_threads(3, || par_map_inplace(&mut par, 4, |v| v * 2.0 + 1.0));
+        });
         let serial: Vec<f32> = src.iter().map(|&v| v * 2.0 + 1.0).collect();
         assert_eq!(par, serial);
 
         let mut zip = src.clone();
-        with_threads(3, || {
-            par_zip_inplace(&mut zip, &serial, 4, |a, b| a + b);
+        with_grain(1, || {
+            with_threads(3, || par_zip_inplace(&mut zip, &serial, 4, |a, b| a + b));
         });
         let expect: Vec<f32> = src.iter().zip(&serial).map(|(&a, &b)| a + b).collect();
         assert_eq!(zip, expect);

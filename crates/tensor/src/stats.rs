@@ -168,6 +168,41 @@ impl Moments {
     }
 }
 
+/// Arithmetic mean of `values`, [`f64::NAN`] when there are none, and
+/// never outside the `[min, max]` of the values.
+///
+/// The plain `sum / n` can round past the inputs' range: seven copies of
+/// `0.4987012987012987` sum and divide to `0.49870129870129876`, one ulp
+/// above the maximum. The quotient is therefore clamped to the observed
+/// range, which leaves every in-range result unchanged. A NaN among the
+/// values makes the mean NaN.
+///
+/// # Examples
+///
+/// ```
+/// use sqdm_tensor::stats::bounded_mean;
+/// let v = 0.4987012987012987;
+/// assert_eq!(bounded_mean(std::iter::repeat_n(v, 7)), v);
+/// assert_eq!(bounded_mean([1.0, 2.0, 6.0]), 3.0);
+/// assert!(bounded_mean(std::iter::empty()).is_nan());
+/// ```
+pub fn bounded_mean(values: impl IntoIterator<Item = f64>) -> f64 {
+    let (mut sum, mut n) = (0.0, 0usize);
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for v in values {
+        sum += v;
+        n += 1;
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    let mean = sum / n as f64;
+    if mean.is_nan() || lo > hi {
+        // No values (0 / 0), a NaN value, or +inf beside -inf.
+        return f64::NAN;
+    }
+    mean.clamp(lo, hi)
+}
+
 /// Mean vector and covariance matrix of a feature matrix `[n_samples, dim]`.
 ///
 /// Returns `(mean [dim], covariance [dim, dim])` using the population
@@ -228,6 +263,23 @@ pub fn mean_and_covariance(features: &Tensor) -> Result<(Tensor, Tensor)> {
 mod tests {
     use super::*;
     use crate::rng::Rng;
+
+    #[test]
+    fn bounded_mean_stays_within_the_inputs() {
+        for v in [0.4987012987012987, 0.1, 1.0 / 3.0, 0.7] {
+            for n in 1..=64 {
+                let m = bounded_mean(std::iter::repeat_n(v, n));
+                assert_eq!(m, v, "{n} copies of {v}");
+            }
+        }
+        let mixed = [0.3, 0.1, 0.2];
+        let m = bounded_mean(mixed);
+        assert!((0.1..=0.3).contains(&m));
+        assert!((m - 0.2).abs() < 1e-15);
+        assert!(bounded_mean([1.0, f64::NAN]).is_nan());
+        assert!(bounded_mean([f64::INFINITY, f64::NEG_INFINITY]).is_nan());
+        assert_eq!(bounded_mean([f64::INFINITY, 1.0]), f64::INFINITY);
+    }
 
     #[test]
     fn histogram_bins_and_edges() {

@@ -6,6 +6,8 @@
 //! requests into one kernel call is bitwise identical to N single-request
 //! calls, at any `SQDM_THREADS`. These property tests pin that promise
 //! over random shapes, scales, change masks and thread counts `{1, 2, 7}`.
+//! The multi-thread runs use a one-unit grain (`with_grain`) so these
+//! small shapes split, and check by counting regions that they did.
 
 use proptest::prelude::*;
 use sqdm_tensor::ops::int::{
@@ -13,10 +15,22 @@ use sqdm_tensor::ops::int::{
     QuantizedMatrix, XQuant,
 };
 use sqdm_tensor::ops::{conv2d, conv2d_multi, matmul_a_bt, matmul_a_bt_multi, Conv2dGeometry};
-use sqdm_tensor::parallel::with_threads;
+use sqdm_tensor::parallel::{regions_opened, with_grain, with_threads};
 use sqdm_tensor::{Rng, Tensor};
 
 const THREADS: [usize; 3] = [1, 2, 7];
+
+/// Runs `f` on `threads` threads with every region of two or more chunks
+/// split, returning its result and the multi-task regions it opened.
+fn split<R>(threads: usize, f: impl FnOnce() -> R) -> (R, u64) {
+    with_grain(1, || {
+        with_threads(threads, || {
+            let before = regions_opened();
+            let r = f();
+            (r, regions_opened() - before)
+        })
+    })
+}
 
 /// Deterministic pseudo-random i8 codes.
 fn codes(len: usize, seed: u64) -> Vec<i8> {
@@ -68,7 +82,7 @@ proptest! {
         let packed = pack_stripes(&per, k, stripe);
         let n = stripe * reqs;
         for t in THREADS {
-            with_threads(t, || {
+            let ((), regions) = split(t, || {
                 let mut batched = vec![0.0f32; m * n];
                 qgemm_multi(&w, &packed, stripe, &xqs, &mut batched).unwrap();
                 for (r, p) in per.iter().enumerate() {
@@ -85,6 +99,7 @@ proptest! {
                     }
                 }
             });
+            assert!(t == 1 || m * n < 2 || regions > 0, "{t} threads: no region split");
         }
     }
 }
@@ -130,7 +145,7 @@ proptest! {
         let mut prev_out = vec![0.0f32; m * n];
         qgemm_multi(&w, &packed_prev, stripe, &xqs, &mut prev_out).unwrap();
         for t in THREADS {
-            with_threads(t, || {
+            let ((), regions) = split(t, || {
                 let mut batched = vec![0.0f32; m * n];
                 qgemm_delta_multi(
                     &w, &packed_curr, &packed_prev, &flat_mask, stripe, &xqs, &prev_out,
@@ -156,6 +171,7 @@ proptest! {
                     }
                 }
             });
+            assert!(t == 1 || m < 2 || regions > 0, "{t} threads: no region split");
         }
     }
 }
@@ -186,7 +202,7 @@ proptest! {
         let stride = c * hw * hw;
         let x = codes(n * stride, seed ^ 0x99);
         for t in THREADS {
-            with_threads(t, || {
+            let ((), regions) = split(t, || {
                 let batched =
                     conv2d_i8_multi(&x, n, c, hw, hw, &wq, 3, 3, Some(&bias), geom, &xqs).unwrap();
                 for nn in 0..n {
@@ -214,6 +230,7 @@ proptest! {
                     }
                 }
             });
+            assert!(t == 1 || regions > 0, "{t} threads: no region split");
         }
     }
 }
@@ -239,7 +256,7 @@ proptest! {
             .map(|_| Tensor::randn([1, 2, hw, hw], &mut rng))
             .collect();
         for t in THREADS {
-            with_threads(t, || {
+            let ((), regions) = split(t, || {
                 let gemms = matmul_a_bt_multi(&xs, &b).unwrap();
                 for (x, y) in xs.iter().zip(&gemms) {
                     let single = matmul_a_bt(x, &b).unwrap();
@@ -257,6 +274,7 @@ proptest! {
                     }
                 }
             });
+            assert!(t == 1 || regions > 0, "{t} threads: no region split");
         }
     }
 }

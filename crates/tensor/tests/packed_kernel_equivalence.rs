@@ -9,7 +9,9 @@
 //! delta kernels under both density-threshold branches, and `conv2d_i8`
 //! against them over random shapes, zero points (including the ±32640
 //! packing boundary), sparsity masks, thread counts `{1, 2, 7}`, and both
-//! ISA bodies (dispatched and forced-generic).
+//! ISA bodies (dispatched and forced-generic). The multi-thread runs use
+//! a one-unit grain (`with_grain`) so these small shapes split, and check
+//! by counting regions that they did.
 
 use proptest::prelude::*;
 use sqdm_tensor::ops::int::{
@@ -18,10 +20,22 @@ use sqdm_tensor::ops::int::{
     qgemm_packed_multi, PackedQuantizedMatrix, QuantizedMatrix, XQuant, MAX_ZERO_POINT,
 };
 use sqdm_tensor::ops::Conv2dGeometry;
-use sqdm_tensor::parallel::with_threads;
+use sqdm_tensor::parallel::{regions_opened, with_grain, with_threads};
 use sqdm_tensor::Rng;
 
 const THREADS: [usize; 3] = [1, 2, 7];
+
+/// Runs `f` on `threads` threads with every region of two or more chunks
+/// split, returning its result and the multi-task regions it opened.
+fn split<R>(threads: usize, f: impl FnOnce() -> R) -> (R, u64) {
+    with_grain(1, || {
+        with_threads(threads, || {
+            let before = regions_opened();
+            let r = f();
+            (r, regions_opened() - before)
+        })
+    })
+}
 
 /// Deterministic pseudo-random i8 codes.
 fn codes(len: usize, seed: u64) -> Vec<i8> {
@@ -145,7 +159,7 @@ proptest! {
         let x = codes(k * n, seed ^ 0x51ca);
         let want = reference_qgemm_multi(&w, &x, stripe, &xqs);
         for t in THREADS {
-            with_threads(t, || {
+            let ((), regions) = split(t, || {
                 for generic in [false, true] {
                     force_generic_kernels(generic);
                     let mut got = vec![0.0f32; m * n];
@@ -162,6 +176,7 @@ proptest! {
                     assert_bits_eq(&single, &want, "qgemm_packed");
                 }
             });
+            assert!(t == 1 || m * n < 2 || regions > 0, "{t} threads: no region split");
         }
     }
 
@@ -200,7 +215,7 @@ proptest! {
         let want =
             reference_qgemm_delta_multi(&w, &curr, &prev, &changed, stripe, &xqs, &prev_out);
         for t in THREADS {
-            with_threads(t, || {
+            let ((), regions) = split(t, || {
                 for generic in [false, true] {
                     force_generic_kernels(generic);
                     // Forced-dense, forced-sparse, and the default
@@ -229,6 +244,7 @@ proptest! {
                 }
                 force_generic_kernels(false);
             });
+            assert!(t == 1 || m * n < 2 || regions > 0, "{t} threads: no region split");
         }
     }
 

@@ -9,18 +9,34 @@
 //! elementwise activations, over random shapes (including the degenerate
 //! `m = 0`, `n = 0`, `k = 0` and single-row cases) and thread counts
 //! `{1, 2, 7}`.
+//!
+//! The pool's grain keeps shapes this small on the calling thread, so the
+//! property tests run their multi-thread side under a one-unit grain
+//! (`with_grain`) and check, by counting regions, that it really split.
 
 use proptest::prelude::*;
 use sqdm_tensor::ops::{
     conv2d, conv2d_backward, im2col, matmul, matmul_a_bt, matmul_at_b, softmax_rows,
     softmax_rows_backward, Activation, Conv2dGeometry,
 };
-use sqdm_tensor::parallel::with_threads;
+use sqdm_tensor::parallel::{regions_opened, with_grain, with_threads};
 use sqdm_tensor::{Rng, Tensor};
 
 /// Thread counts the determinism contract is checked against; 1 is the
 /// serial reference, 2 and 7 exercise even and lopsided partitions.
 const THREADS: [usize; 2] = [2, 7];
+
+/// Runs `f` on `threads` threads with every region of two or more chunks
+/// split, returning its result and the multi-task regions it opened.
+fn split<R>(threads: usize, f: impl FnOnce() -> R) -> (R, u64) {
+    with_grain(1, || {
+        with_threads(threads, || {
+            let before = regions_opened();
+            let r = f();
+            (r, regions_opened() - before)
+        })
+    })
+}
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -54,13 +70,16 @@ proptest! {
             )
         });
         for t in THREADS {
-            let par = with_threads(t, || {
+            let (par, regions) = split(t, || {
                 (
                     matmul(&a, &b).unwrap(),
                     matmul_at_b(&a_t, &b).unwrap(),
                     matmul_a_bt(&a, &b_t).unwrap(),
                 )
             });
+            if m >= 2 && n >= 1 {
+                assert!(regions > 0, "{t} threads: {m}x{k}x{n} matmuls never split");
+            }
             assert_bitwise_eq(&serial.0, &par.0, "matmul");
             assert_bitwise_eq(&serial.1, &par.1, "matmul_at_b");
             assert_bitwise_eq(&serial.2, &par.2, "matmul_a_bt");
@@ -89,13 +108,14 @@ proptest! {
             (cols, y, g)
         });
         for t in THREADS {
-            let (p_cols, p_y, p_grads) = with_threads(t, || {
+            let ((p_cols, p_y, p_grads), regions) = split(t, || {
                 let cols = im2col(&x, 3, 3, geom).unwrap();
                 let y = conv2d(&x, &w, Some(&bias), geom).unwrap();
                 let gout = Tensor::ones(y.dims());
                 let g = conv2d_backward(&x, &w, &gout, geom).unwrap();
                 (cols, y, g)
             });
+            assert!(regions > 0, "{t} threads: conv kernels never split");
             assert_bitwise_eq(&s_cols, &p_cols, "im2col");
             assert_bitwise_eq(&s_y, &p_y, "conv2d");
             assert_bitwise_eq(&s_grads.grad_input, &p_grads.grad_input, "conv2d grad_input");
@@ -122,13 +142,16 @@ proptest! {
             (y, g, silu, silu_g)
         });
         for t in THREADS {
-            let par = with_threads(t, || {
+            let (par, regions) = split(t, || {
                 let y = softmax_rows(&x).unwrap();
                 let g = softmax_rows_backward(&y, &gout).unwrap();
                 let silu = Activation::Silu.forward(&x);
                 let silu_g = Activation::Silu.backward(&x, &gout).unwrap();
                 (y, g, silu, silu_g)
             });
+            if m * n >= 2 {
+                assert!(regions > 0, "{t} threads: {m}x{n} row kernels never split");
+            }
             assert_bitwise_eq(&serial.0, &par.0, "softmax_rows");
             assert_bitwise_eq(&serial.1, &par.1, "softmax_rows_backward");
             assert_bitwise_eq(&serial.2, &par.2, "silu forward");
@@ -137,9 +160,8 @@ proptest! {
     }
 }
 
-/// Shapes big enough that the pool actually splits the work (the grain
-/// heuristic keeps tiny proptest shapes serial), pinned explicitly so the
-/// parallel code path itself is exercised.
+/// Shapes big enough that the pool splits the work at its real grain,
+/// pinned explicitly so the parallel code path itself is exercised.
 #[test]
 fn large_kernels_engage_the_pool_and_stay_bitwise_equal() {
     let mut rng = Rng::seed_from(0xD15C0);
@@ -147,9 +169,9 @@ fn large_kernels_engage_the_pool_and_stay_bitwise_equal() {
     let b = Tensor::randn([128, 112], &mut rng);
     let a_t = Tensor::randn([128, 96], &mut rng);
     let b_t = Tensor::randn([112, 128], &mut rng);
-    let x = Tensor::randn([2, 8, 24, 24], &mut rng);
+    let x = Tensor::randn([4, 8, 32, 32], &mut rng);
     let w = Tensor::randn([8, 8, 3, 3], &mut rng);
-    let sm = Tensor::randn([128, 192], &mut rng);
+    let sm = Tensor::randn([256, 192], &mut rng);
 
     let serial = with_threads(1, || {
         (
@@ -163,13 +185,22 @@ fn large_kernels_engage_the_pool_and_stay_bitwise_equal() {
     });
     for t in [2usize, 3, 7] {
         let par = with_threads(t, || {
+            let opened = |f: &dyn Fn() -> Tensor, what: &str| {
+                let before = regions_opened();
+                let out = f();
+                assert!(regions_opened() > before, "{t} threads: {what} ran inline");
+                out
+            };
             (
-                matmul(&a, &b).unwrap(),
-                matmul_at_b(&a_t, &b).unwrap(),
-                matmul_a_bt(&a, &b_t).unwrap(),
-                conv2d(&x, &w, None, Conv2dGeometry::same(3)).unwrap(),
-                softmax_rows(&sm).unwrap(),
-                Activation::Silu.forward(&sm),
+                opened(&|| matmul(&a, &b).unwrap(), "matmul"),
+                opened(&|| matmul_at_b(&a_t, &b).unwrap(), "matmul_at_b"),
+                opened(&|| matmul_a_bt(&a, &b_t).unwrap(), "matmul_a_bt"),
+                opened(
+                    &|| conv2d(&x, &w, None, Conv2dGeometry::same(3)).unwrap(),
+                    "conv2d",
+                ),
+                opened(&|| softmax_rows(&sm).unwrap(), "softmax"),
+                opened(&|| Activation::Silu.forward(&sm), "silu"),
             )
         });
         assert_bitwise_eq(&serial.0, &par.0, "large matmul");
